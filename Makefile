@@ -10,7 +10,7 @@
 JOBS ?=
 JOBS_FLAG = $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: all build test check sim-check sim-matrix fuzz fleet bench bench-json bench-guard socket-smoke clean
+.PHONY: all build test check sim-check sim-matrix fuzz fleet bench bench-json bench-guard socket-smoke perfbench clean
 
 all: build
 
@@ -72,6 +72,13 @@ bench-json: build
 # increase — against the checked-in baseline.
 bench-guard: build
 	dune exec bench/main.exe -- --quick --only tables2-5 --baseline BENCH_10.json $(JOBS_FLAG)
+
+# Host-cost benchmark, every workload for one second, untraced and
+# traced: exits non-zero if a simulated batch's digest differs from
+# perfbench/digests.txt or any other correctness check fails.  The
+# timings it prints are for reading, not gating (see perfbench/README.md).
+perfbench: build
+	python3 perfbench/run.py --workload all --seconds 1
 
 clean:
 	dune clean

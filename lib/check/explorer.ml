@@ -104,8 +104,7 @@ let run_plan ?(trace = false) config ~seed ~plan =
                   match (bulk, outs) with
                   | false, [] -> true
                   | true, [ Marshal.V_bytes b ] ->
-                    Bytes.length b = config.payload
-                    && Bytes.equal b (Test_interface.pattern config.payload)
+                    Bytes.length b = config.payload && Test_interface.is_pattern b
                   | _ -> false
                 in
                 if good then incr ok

@@ -528,15 +528,10 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
        out of the frame; only multi-fragment results are concatenated. *)
     let result_payload =
       if n = 1 then (match Hashtbl.find_opt result_frags 0 with Some v -> v | None -> missing ())
-      else begin
-        let buf = Buffer.create 256 in
-        for i = 0 to n - 1 do
-          match Hashtbl.find_opt result_frags i with
-          | Some v -> V.add_to_buffer v buf
-          | None -> missing ()
-        done;
-        V.of_bytes (Buffer.to_bytes buf)
-      end
+      else
+        V.concat
+          (List.init n (fun i ->
+               match Hashtbl.find_opt result_frags i with Some v -> v | None -> missing ()))
     in
     let result_payload =
       match b.be_auth, !result_secured with
@@ -684,13 +679,12 @@ let collect_call_fragments t ctx entry ~opts ~(first : Node.delivery) =
              if !timeouts > opts.max_retries then raise Exit
            end
        done;
-       let buf = Buffer.create (n * 256) in
-       for i = 0 to n - 1 do
+       let frag i =
          match Hashtbl.find_opt frags i with
-         | Some payload -> V.add_to_buffer payload buf
+         | Some payload -> payload
          | None -> raise Exit (* unreachable once indexes are validated *)
-       done;
-       result := Some (V.of_bytes (Buffer.to_bytes buf))
+       in
+       result := Some (V.concat (List.init n frag))
      with Exit -> ());
     !result
   end

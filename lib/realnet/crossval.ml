@@ -23,7 +23,7 @@ let test_impls () =
   impls.(Ti.max_arg_idx) <-
     (fun args ->
       match args with
-      | [ Marshal.V_bytes b ] when Bytes.equal b (Ti.pattern Ti.buffer_bytes) -> []
+      | [ Marshal.V_bytes b ] when Bytes.length b = Ti.buffer_bytes && Ti.is_pattern b -> []
       | _ -> invalid_arg "MaxArg: payload does not match the test pattern");
   impls.(Ti.get_data_idx) <-
     (fun args ->

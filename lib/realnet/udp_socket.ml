@@ -85,7 +85,10 @@ let header ?(please_ack = false) ~act ~seq ~server_space ~intf_id ~proc_idx ~fra
 let send_to sock addr frame =
   ignore (Unix.sendto sock frame 0 (Bytes.length frame) [] addr)
 
-(* A receive that treats the socket timeout as "nothing arrived". *)
+(* A receive that treats the socket timeout as "nothing arrived".  Each
+   datagram is copied out of the reused receive buffer into a frame of
+   its own, so payload views cut from it stay valid for as long as
+   reassembly holds them. *)
 let recv_frame sock buf =
   match Unix.recvfrom sock buf 0 (Bytes.length buf) [] with
   | 0, _ -> None
@@ -99,7 +102,7 @@ module Act_tbl = Hashtbl.Make (Proto.Activity)
 type act_state = {
   mutable as_seq : int;  (** call being assembled *)
   mutable as_frag_count : int option;
-  as_frags : (int, Bytes.t) Hashtbl.t;
+  as_frags : (int, V.t) Hashtbl.t;
   mutable as_done_seq : int;  (** last completed call *)
   mutable as_result : Bytes.t list;  (** its result frames, for duplicates *)
 }
@@ -150,7 +153,7 @@ let dispatch s (h : Proto.header) payload =
     Error (Printf.sprintf "bad procedure index %d" h.Proto.proc_idx)
   else begin
     let p = s.s_intf.Idl.procs.(h.Proto.proc_idx) in
-    match Marshal.decode_args (R.of_bytes payload) Marshal.In_call_packet p with
+    match Marshal.decode_args (R.of_view payload) Marshal.In_call_packet p with
     | exception Rpc.Rpc_error.Rpc e -> Error (Rpc.Rpc_error.to_string e)
     | in_values -> (
       match s.s_impls.(h.Proto.proc_idx) in_values with
@@ -237,7 +240,7 @@ let handle_call s states addr (h : Proto.header) payload_view =
     if consistent then begin
       st.as_frag_count <- Some h.Proto.frag_count;
       if not (Hashtbl.mem st.as_frags h.Proto.frag_idx) then
-        Hashtbl.replace st.as_frags h.Proto.frag_idx (V.to_bytes payload_view);
+        Hashtbl.replace st.as_frags h.Proto.frag_idx payload_view;
       if h.Proto.frag_idx < h.Proto.frag_count - 1 then begin
         let ack =
           Frames.build s.s_tmg ~src:server_endpoint ~dst:caller_endpoint
@@ -251,10 +254,7 @@ let handle_call s states addr (h : Proto.header) payload_view =
         send_to s.s_sock addr ack
       end;
       if Hashtbl.length st.as_frags = h.Proto.frag_count then begin
-        let whole = Buffer.create 1500 in
-        for i = 0 to h.Proto.frag_count - 1 do
-          Buffer.add_bytes whole (Hashtbl.find st.as_frags i)
-        done;
+        let whole = V.concat (List.init h.Proto.frag_count (Hashtbl.find st.as_frags)) in
         Hashtbl.reset st.as_frags;
         let act = h.Proto.activity
         and seq = h.Proto.seq
@@ -262,7 +262,7 @@ let handle_call s states addr (h : Proto.header) payload_view =
         and intf_id = h.Proto.interface_id
         and proc_idx = h.Proto.proc_idx in
         let frames =
-          match dispatch s h (Buffer.to_bytes whole) with
+          match dispatch s h whole with
           | Ok result ->
             build_result_frames s ~act ~seq ~server_space ~intf_id ~proc_idx result
           | Error msg -> [ build_error_frame s ~act ~seq ~server_space ~intf_id ~proc_idx msg ]

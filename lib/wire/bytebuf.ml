@@ -103,8 +103,19 @@ module View = struct
 
   let to_bytes t = Bytes.sub t.v_buf t.v_pos t.v_len
   let to_string t = Bytes.sub_string t.v_buf t.v_pos t.v_len
-  let add_to_buffer t buf = Buffer.add_subbytes buf t.v_buf t.v_pos t.v_len
   let blit t ~dst ~dst_pos = Bytes.blit t.v_buf t.v_pos dst dst_pos t.v_len
+
+  let concat = function
+    | [ t ] -> t
+    | ts ->
+      let dst = Bytes.create (List.fold_left (fun n t -> n + t.v_len) 0 ts) in
+      let dst_pos = ref 0 in
+      List.iter
+        (fun t ->
+          blit t ~dst ~dst_pos:!dst_pos;
+          dst_pos := !dst_pos + t.v_len)
+        ts;
+      of_bytes dst
 
   let equal_bytes t b =
     t.v_len = Bytes.length b

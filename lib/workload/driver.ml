@@ -66,7 +66,7 @@ let validate_result proc outs =
       failwith "Driver: MaxResult returned wrong size"
   | Get_data n, [ Rpc.Marshal.V_bytes b ] ->
     if Bytes.length b <> n then failwith "Driver: GetData returned wrong size";
-    if not (Bytes.equal b (Test_interface.pattern n)) then
+    if not (Test_interface.is_pattern b) then
       failwith "Driver: GetData returned corrupted data"
   | _ -> failwith "Driver: unexpected result shape"
 

@@ -32,4 +32,9 @@ val impls : Hw.Timing.t -> Rpc.Runtime.impl array
     recognizable pattern; [MaxArg] checks the received pattern. *)
 
 val pattern : int -> Stdlib.Bytes.t
-(** [pattern n] is the deterministic n-byte test payload. *)
+(** [pattern n] is the deterministic n-byte test payload: byte [i] is
+    [(7 i) mod 256]. *)
+
+val is_pattern : Stdlib.Bytes.t -> bool
+(** [is_pattern b] iff [b] equals [pattern (Bytes.length b)], every byte
+    compared; allocates nothing. *)

@@ -11,4 +11,5 @@ let () =
       ("protocol-properties", Test_protocol_props.suite);
       ("decnet", Test_decnet.suite);
       ("typed", Test_typed.suite);
+      ("test-pattern", Test_pattern.suite);
     ]

@@ -192,11 +192,21 @@ let test_view_sub () =
      with Invalid_argument _ -> true)
 
 let test_view_reassembly () =
-  (* add_to_buffer is the single copy fragment reassembly performs. *)
-  let buf = Buffer.create 16 in
-  V.add_to_buffer (V.of_bytes ~pos:0 ~len:3 (Bytes.of_string "abcXX")) buf;
-  V.add_to_buffer (V.of_bytes ~pos:2 ~len:3 (Bytes.of_string "XXdef")) buf;
-  Alcotest.(check string) "reassembled" "abcdef" (Buffer.contents buf);
+  (* concat is the single copy fragment reassembly performs: one buffer
+     of exactly the windows' total length, and none for one window. *)
+  let whole =
+    V.concat
+      [
+        V.of_bytes ~pos:0 ~len:3 (Bytes.of_string "abcXX");
+        V.empty;
+        V.of_bytes ~pos:2 ~len:3 (Bytes.of_string "XXdef");
+      ]
+  in
+  Alcotest.(check string) "reassembled" "abcdef" (V.to_string whole);
+  Alcotest.(check int) "exact size" 6 (Bytes.length (V.buffer whole));
+  Alcotest.(check string) "no windows" "" (V.to_string (V.concat []));
+  let one = V.of_bytes ~pos:1 ~len:2 (Bytes.of_string "xyz") in
+  Alcotest.(check bool) "one window passes through" true (V.concat [ one ] == one);
   let dst = Bytes.make 6 '.' in
   V.blit (V.of_bytes ~pos:1 ~len:4 (Bytes.of_string "_wxyz_")) ~dst ~dst_pos:1;
   Alcotest.(check string) "blit" ".wxyz." (Bytes.to_string dst)

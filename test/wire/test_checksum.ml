@@ -110,6 +110,50 @@ let prop_incremental_equals_full =
       let prefix = C.sum b ~pos:0 ~len:split in
       C.sum ~init:prefix b ~pos:split ~len:(n - split) = C.sum b ~pos:0 ~len:n)
 
+(* The straightforward RFC 1071 loop, two bytes per step, that the
+   word-wide [C.sum] must agree with bit for bit. *)
+let reference_sum ?(init = 0) b ~pos ~len =
+  let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
+  let s = ref init in
+  let i = ref pos in
+  while !i < pos + len - 1 do
+    s := !s + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  done;
+  if len land 1 = 1 then s := !s + (Char.code (Bytes.get b (pos + len - 1)) lsl 8);
+  fold !s
+
+let gen_range =
+  (* Lengths below one word, odd, and off the 8-byte grid, at odd and
+     even offsets: the word loop's alignment and tail cases. *)
+  QCheck.Gen.(
+    let* pos = int_range 0 9 in
+    let* len = frequency [ (1, int_range 0 7); (3, int_range 0 3000) ] in
+    let* init = int_range 0 0x1ffff in
+    (* All-ones and all-zero fills drive the carry folds and the
+       zero/all-ones edge of ones-complement arithmetic. *)
+    let n = pos + len + 3 in
+    let* fill =
+      frequency
+        [ (4, string_size ~gen:char (return n)); (1, return (String.make n '\xff'));
+          (1, return (String.make n '\x00')) ]
+    in
+    return (Bytes.of_string fill, pos, len, init))
+
+let arb_range =
+  QCheck.make
+    ~print:(fun (b, pos, len, init) ->
+      Printf.sprintf "pos=%d len=%d init=0x%x\n%s" pos len init (Wire.Hexdump.to_string b))
+    gen_range
+
+let prop_word_sum_equals_reference =
+  QCheck.Test.make ~name:"word-wide sum, checksum and verify equal the 2-byte loop" ~count:500
+    arb_range (fun (b, pos, len, init) ->
+      let r = reference_sum ~init b ~pos ~len in
+      C.sum ~init b ~pos ~len = r
+      && C.checksum ~init b ~pos ~len = lnot r land 0xffff
+      && C.verify ~init b ~pos ~len = (r = 0xffff))
+
 let suite =
   [
     Alcotest.test_case "RFC 1071 example" `Quick test_rfc1071_example;
@@ -122,4 +166,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_finish_idempotent_range;
     QCheck_alcotest.to_alcotest prop_zero_padding_invariant;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
+    QCheck_alcotest.to_alcotest prop_word_sum_equals_reference;
   ]
