@@ -63,7 +63,7 @@ bench: build
 # Refresh the checked-in microbenchmark baseline (quick tables so the
 # run stays short; the kernel numbers are measured the same either way).
 # BENCH_10.json superseded BENCH_9.json when the engine hot loop went
-# closure-free (flat events, calendar queue, retransmit timer wheel).
+# closure-free (flat events, retransmit timer wheel).
 bench-json: build
 	dune exec bench/main.exe -- --quick --json BENCH_10.json $(JOBS_FLAG)
 

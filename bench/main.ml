@@ -12,9 +12,10 @@
    exact serial path with byte-identical output.
    [--microbench] additionally runs Bechamel microbenchmarks of the
    genuinely computational kernels (checksums, marshalling, header
-   codecs, event queue), measured in real wall-clock time, plus an
-   engine throughput probe (events/sec, allocated bytes/event) and a
-   fleet-scenario throughput probe (a 4-node incast in one engine).
+   codecs, one simulated Null() call), measured in real wall-clock
+   time, plus an engine throughput probe (events/sec, allocated
+   bytes/event) and a fleet-scenario throughput probe (a 4-node incast
+   in one engine).
    [--json FILE] (implies --microbench) persists the microbenchmark
    numbers as JSON — the checked-in BENCH_9.json baseline. *)
 
@@ -125,15 +126,6 @@ let microbench_tests () =
                ~payload:(packet 1400) ~payload_pos:0 ~payload_len:1400));
       Test.make ~name:"frame-parse-1514B"
         (Staged.stage (fun () -> Rpc.Frames.parse timing frame));
-      Test.make ~name:"event-heap-64"
-        (Staged.stage (fun () ->
-             let h = Sim.Heap.create ~leq:(fun (a : int) b -> a <= b) in
-             for i = 63 downto 0 do
-               Sim.Heap.add h i
-             done;
-             while not (Sim.Heap.is_empty h) do
-               ignore (Sim.Heap.pop h)
-             done));
       Test.make ~name:"simulated-null-rpc"
         (Staged.stage (fun () ->
              let w = Workload.World.create ~idle_load:false () in
@@ -147,9 +139,9 @@ let microbench_tests () =
    window is the steady state — which allocates nothing at all:
    [Gc.allocated_bytes] counts every word the mutator allocates, and
    the schedule/pop/dispatch cycle touches only recycled nodes. *)
-let measure_engine_throughput ?(queue = `Heap) () =
+let measure_engine_throughput () =
   let chains = 64 and steps = 8192 in
-  let eng = Sim.Engine.create ~queue () in
+  let eng = Sim.Engine.create () in
   let fn_ref = ref (-1) in
   let fn =
     Sim.Engine.register_handler eng (fun remaining _ ->
@@ -213,14 +205,13 @@ let measure_engine_closure_alloc () =
    at the mercy of a single scheduler hiccup: an untimed warmup run
    first, then the best of three timed runs (each run is a fresh,
    deterministic cluster, so they are true repeats). *)
-let measure_fleet_throughput ?(queue = `Heap) () =
+let measure_fleet_throughput () =
   let spec =
     {
       Fleet.Scenario.default with
       Fleet.Scenario.s_clients = 16;
       s_calls = 200;
       s_kind = Fleet.Scenario.Incast;
-      s_queue = queue;
     }
   in
   let sample () =
@@ -343,15 +334,12 @@ let collect_microbench () =
 
 type micro_results = {
   mr_kernels : (string * float) list;
-  mr_engine_eps : float;  (* flat path, pairing heap *)
+  mr_engine_eps : float;  (* flat path *)
   mr_engine_ape : float;  (* alloc bytes/event, flat path — 0 in steady state *)
-  mr_engine_cal_eps : float;  (* flat path, calendar queue *)
-  mr_engine_cal_ape : float;
   mr_closure_ape : float;  (* legacy closure path alloc bytes/event *)
   mr_off : float * float;  (* spans-off events/sec, alloc/event *)
   mr_on : float * float * int;  (* spans-on events/sec, alloc/event, spans *)
   mr_fleet : float * int * float * float;  (* eps, events, sim calls/s, alloc/event *)
-  mr_fleet_cal_eps : float;
 }
 
 let run_microbench () =
@@ -359,11 +347,9 @@ let run_microbench () =
   say "### microbenchmarks (real wall-clock, Bechamel OLS ns/iter)";
   let kernels = collect_microbench () in
   List.iter (fun (name, est) -> say "  %-32s %12.1f ns/iter" name est) kernels;
-  let engine_eps, engine_ape = measure_engine_throughput ~queue:`Heap () in
+  let engine_eps, engine_ape = measure_engine_throughput () in
   say "  %-32s %12.0f events/sec" "engine-throughput" engine_eps;
   say "  %-32s %12.1f bytes alloc/event" "engine-allocation" engine_ape;
-  let cal_eps, cal_ape = measure_engine_throughput ~queue:`Calendar () in
-  say "  %-32s %12.0f events/sec  %8.1f bytes alloc/event" "engine-calendar" cal_eps cal_ape;
   let closure_ape = measure_engine_closure_alloc () in
   say "  %-32s %12.1f bytes alloc/event" "engine-closure-path" closure_ape;
   let (off_eps, off_ape, _), (on_eps, on_ape, on_spans) = measure_tracing_overhead () in
@@ -373,22 +359,17 @@ let run_microbench () =
   say "  %-32s %11.1f%% events/sec, %+.1f bytes alloc/event" "tracing-overhead"
     (100. *. ((off_eps /. on_eps) -. 1.))
     (on_ape -. off_ape);
-  let fleet_eps, fleet_events, fleet_rate, fleet_ape = measure_fleet_throughput ~queue:`Heap () in
+  let fleet_eps, fleet_events, fleet_rate, fleet_ape = measure_fleet_throughput () in
   say "  %-32s %12.0f events/sec  (%d events, %.0f simulated calls/sec, %.1f bytes alloc/event)"
     "fleet-incast-4x200" fleet_eps fleet_events fleet_rate fleet_ape;
-  let fleet_cal_eps, _, _, _ = measure_fleet_throughput ~queue:`Calendar () in
-  say "  %-32s %12.0f events/sec" "fleet-incast-calendar" fleet_cal_eps;
   {
     mr_kernels = kernels;
     mr_engine_eps = engine_eps;
     mr_engine_ape = engine_ape;
-    mr_engine_cal_eps = cal_eps;
-    mr_engine_cal_ape = cal_ape;
     mr_closure_ape = closure_ape;
     mr_off = (off_eps, off_ape);
     mr_on = (on_eps, on_ape, on_spans);
     mr_fleet = (fleet_eps, fleet_events, fleet_rate, fleet_ape);
-    mr_fleet_cal_eps = fleet_cal_eps;
   }
 
 let json_of_results ~quick r =
@@ -403,14 +384,12 @@ let json_of_results ~quick r =
   let fleet_eps, fleet_events, fleet_rate, fleet_ape = r.mr_fleet in
   Obj
     [
-      ("schema", Str "firefly-bench/4");
+      ("schema", Str "firefly-bench/5");
       ("quick", Bool quick);
       ("kernels_ns_per_iter", Obj (List.map (fun (n, v) -> (n, Num v)) r.mr_kernels));
       ("simulated_null_rpc_ns", null_rpc);
       ("engine_events_per_sec", Num r.mr_engine_eps);
       ("engine_alloc_bytes_per_event", Num r.mr_engine_ape);
-      ("engine_calendar_events_per_sec", Num r.mr_engine_cal_eps);
-      ("engine_calendar_alloc_bytes_per_event", Num r.mr_engine_cal_ape);
       ("engine_closure_alloc_bytes_per_event", Num r.mr_closure_ape);
       ( "tracing_overhead",
         Obj
@@ -429,7 +408,6 @@ let json_of_results ~quick r =
             ("events", Num (float_of_int fleet_events));
             ("sim_calls_per_sec", Num fleet_rate);
             ("alloc_bytes_per_event", Num fleet_ape);
-            ("calendar_events_per_sec", Num r.mr_fleet_cal_eps);
           ] );
     ]
 
@@ -485,18 +463,12 @@ let check_baseline ~file r =
     in
     let fleet_eps, _, _, _ = r.mr_fleet in
     check_throughput "engine_events_per_sec" (num [ "engine_events_per_sec" ] doc) r.mr_engine_eps;
-    check_throughput "engine_calendar_events_per_sec"
-      (num [ "engine_calendar_events_per_sec" ] doc)
-      r.mr_engine_cal_eps;
     check_throughput "fleet_incast.events_per_sec"
       (num [ "fleet_incast"; "events_per_sec" ] doc)
       fleet_eps;
     check_alloc "engine_alloc_bytes_per_event"
       (num [ "engine_alloc_bytes_per_event" ] doc)
       r.mr_engine_ape;
-    check_alloc "engine_calendar_alloc_bytes_per_event"
-      (num [ "engine_calendar_alloc_bytes_per_event" ] doc)
-      r.mr_engine_cal_ape;
     (match !failures with
     | [] -> say "  (baseline %s: within regression bounds)" file
     | fs ->

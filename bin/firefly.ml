@@ -733,7 +733,7 @@ let check_cmd =
 
 let fleet_cmd =
   let run nodes clients calls arrival rate alpha think scenario seed seeds jobs payload
-      straggler_speedup switch_latency egress_capacity queue check trace out =
+      straggler_speedup switch_latency egress_capacity check trace out =
     if nodes < 2 then Error (`Msg "--nodes must be >= 2")
     else if clients < 1 then Error (`Msg "--clients must be >= 1")
     else if calls < 1 then Error (`Msg "--calls must be >= 1")
@@ -764,7 +764,6 @@ let fleet_cmd =
           s_straggler_speedup = straggler_speedup;
           s_switch_latency_us = switch_latency;
           s_egress_capacity = egress_capacity;
-          s_queue = queue;
         }
       in
       let run_one seed =
@@ -900,16 +899,6 @@ let fleet_cmd =
       & info [ "egress-capacity" ] ~docv:"FRAMES"
           ~doc:"Per-port egress queue bound; overflow frames are dropped (incast loss).")
   in
-  let queue =
-    Arg.(
-      value
-      & opt (enum [ ("heap", `Heap); ("calendar", `Calendar) ]) `Heap
-      & info [ "queue" ] ~docv:"KIND"
-          ~doc:
-            "Engine event-queue discipline: $(b,heap) (pairing heap, default) or $(b,calendar) \
-             (bucketed calendar queue).  A pure performance knob — same-seed reports are \
-             byte-identical under either.")
-  in
   let check =
     Arg.(
       value
@@ -942,7 +931,7 @@ let fleet_cmd =
       term_result ~usage:true
         (const run $ nodes $ clients $ calls $ arrival $ rate $ alpha $ think $ scenario $ seed
         $ seeds $ jobs_term $ payload $ straggler_speedup $ switch_latency $ egress_capacity
-        $ queue $ check $ trace $ out))
+        $ check $ trace $ out))
 
 (* {1 firefly fuzz} *)
 

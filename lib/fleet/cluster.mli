@@ -29,7 +29,6 @@ type t = {
 
 val create :
   ?seed:int ->
-  ?queue:[ `Heap | `Calendar ] ->
   ?config:Hw.Config.t ->
   ?config_of:(int -> Hw.Config.t) ->
   ?switch_latency:Sim.Time.span ->
@@ -40,10 +39,7 @@ val create :
   nodes:int ->
   unit ->
   t
-(** [queue] (default [`Heap]) selects the engine's event-queue
-    discipline (see {!Sim.Engine.create}); same-seed runs render
-    byte-identically under either.  [config_of i] (default: the
-    constant [config], default
+(** [config_of i] (default: the constant [config], default
     {!Hw.Config.default}) picks node [i]'s machine configuration —
     how straggler scenarios slow one server down.  [idle_load] defaults
     to [false]: fleet tails are measured without the paper's background

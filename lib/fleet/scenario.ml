@@ -28,10 +28,6 @@ type spec = {
   s_straggler_speedup : float;
   s_switch_latency_us : float;
   s_egress_capacity : int;
-  (* Engine event-queue discipline; a pure performance knob.  Kept out
-     of [render] deliberately: same-seed reports must stay
-     byte-identical across queue choices. *)
-  s_queue : [ `Heap | `Calendar ];
 }
 
 let default =
@@ -46,7 +42,6 @@ let default =
     s_straggler_speedup = 0.25;
     s_switch_latency_us = 10.;
     s_egress_capacity = 32;
-    s_queue = `Heap;
   }
 
 type node_report = {
@@ -159,7 +154,7 @@ let run ?(trace = false) spec =
        scaled to fan-in): an incast burst parks in the server's pool and
        drains at CPU 0's interrupt rate instead of being dropped and
        retransmitted into collapse. *)
-    Cluster.create ~seed:spec.s_seed ~queue:spec.s_queue ~config ~config_of
+    Cluster.create ~seed:spec.s_seed ~config ~config_of
       ~switch_latency:(Time.us_f spec.s_switch_latency_us)
       ~egress_capacity:spec.s_egress_capacity
       ~pool_buffers:(max 64 (2 * spec.s_clients))

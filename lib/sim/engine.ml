@@ -4,10 +4,8 @@
    slots, so the steady state allocates nothing.  Closures remain as the
    cold-path fallback ({!schedule}) and for irregular callers.
 
-   Two interchangeable queue disciplines order the events: the pairing
-   heap ({!Eventq}, the default) and the calendar queue ({!Calendar}).
-   Both pop in exact [(time, tie, seq)] order, so the choice is purely a
-   performance knob — byte-identical output either way.
+   One queue orders the events: the pairing heap {!Eventq}, popping in
+   exact [(time, tie, seq)] order.
 
    Timeouts ({!suspend_timeout}) arm a node on a hierarchical timer
    wheel ({!Wheel}) instead of the main queue: the retransmit pattern
@@ -17,20 +15,18 @@
    intact — into the main queue before their deadline, so it is
    invisible to event order. *)
 
-type queue = Heap of Eventq.t | Cal of Calendar.t
-
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
   mutable executed : int;
   mutable suspended : int;
-  queue : queue;
+  queue : Eventq.t;
   pool : Evnode.pool;
   mutable wheel : Wheel.t option;  (* created on first suspend_timeout *)
   mutable horizon : Time.t;
       (* cached {!Wheel.horizon}: events strictly before it cannot be
          affected by the wheel, so the per-event sync is one compare *)
-  mutable enqueue : Evnode.t -> unit;  (* wheel-flush target: the main queue *)
+  enqueue : Evnode.t -> unit;  (* wheel-flush target: [Eventq.insert queue] *)
   mutable handlers : (int -> int -> Obj.t -> Obj.t -> unit) array;
   mutable nhandlers : int;
   mutable pending_span : Time.span;
@@ -70,16 +66,11 @@ let fn_fire = 0
 let fn_delay = 1
 let fn_timeout = 2
 
-let q_is_empty t =
-  match t.queue with Heap q -> Eventq.is_empty q | Cal c -> Calendar.is_empty c
-
-let q_min_time t =
-  match t.queue with Heap q -> Eventq.min_time q | Cal c -> Calendar.min_time c
-
-let q_insert t n =
-  match t.queue with Heap q -> Eventq.insert q n | Cal c -> Calendar.insert c n
-
-let q_pop t = match t.queue with Heap q -> Eventq.pop q | Cal c -> Calendar.pop c
+(* The first index {!register_handler} and {!register} hand out: the
+   built-in handlers cast [o0] to a closure or continuation, so an
+   event aimed at them from [schedule_fn] (which leaves [o0] scrubbed)
+   would crash the runtime. *)
+let first_user_fn = 3
 
 let now t = t.clock
 let rng t = t.engine_rng
@@ -87,11 +78,10 @@ let trace t = t.engine_trace
 let events_executed t = t.executed
 let suspended_count t = t.suspended
 let armed_timers t = match t.wheel with None -> 0 | Some wh -> Wheel.size wh
-let queue_kind t = match t.queue with Heap _ -> `Heap | Cal _ -> `Calendar
 
 (* Every event — flat or closure — draws its key here, so the
    (tie, seq) stream is a pure function of the schedule-call sequence,
-   identical whichever queue or payload style the caller uses. *)
+   identical whichever payload style the caller uses. *)
 let alloc_keyed t time =
   if Time.compare time t.clock < 0 then invalid_arg "Engine.schedule_at: instant in the past";
   t.seq <- t.seq + 1;
@@ -105,7 +95,7 @@ let alloc_keyed t time =
 let schedule_at t time run =
   let n = alloc_keyed t time in
   n.Evnode.run <- run;
-  q_insert t n
+  Eventq.insert t.queue n
 
 let schedule t ?(after = Time.zero_span) run =
   if Time.span_is_negative after then invalid_arg "Engine.schedule: negative delay";
@@ -113,12 +103,13 @@ let schedule t ?(after = Time.zero_span) run =
 
 let schedule_fn t ~after ~fn ~a ~b =
   if Time.span_is_negative after then invalid_arg "Engine.schedule_fn: negative delay";
-  if fn < 0 || fn >= t.nhandlers then invalid_arg "Engine.schedule_fn: unknown handler";
+  if fn < first_user_fn || fn >= t.nhandlers then
+    invalid_arg "Engine.schedule_fn: unknown handler";
   let n = alloc_keyed t (Time.add t.clock after) in
   n.Evnode.fn <- fn;
   n.Evnode.i0 <- a;
   n.Evnode.i1 <- b;
-  q_insert t n
+  Eventq.insert t.queue n
 
 let grow_handlers t =
   if t.nhandlers = Array.length t.handlers then begin
@@ -148,7 +139,7 @@ let register t (f : 'a -> int -> unit) =
     n.Evnode.fn <- id;
     n.Evnode.i0 <- a;
     n.Evnode.o0 <- Obj.repr x;
-    q_insert t n
+    Eventq.insert t.queue n
 
 (* Effects interpreted by the per-process handler.  The engine is carried
    in the payload so a single global handler installation per process
@@ -177,14 +168,15 @@ let wake w v =
     n.Evnode.fn <- fn_fire;
     n.Evnode.o0 <- Obj.repr w.fire;
     n.Evnode.o1 <- Obj.repr v;
-    q_insert eng n;
+    Eventq.insert eng.queue n;
     true
   end
 
 let waker_dead w = w.cell.fired
 
-let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
+let create ?(seed = 42) ?(tie_break = `Fifo) () =
   let pool = Evnode.create_pool () in
+  let queue = Eventq.create () in
   let unregistered = fun _ _ _ _ -> assert false in
   let t =
     {
@@ -192,16 +184,13 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
       seq = 0;
       executed = 0;
       suspended = 0;
-      queue =
-        (match queue with
-        | `Heap -> Heap (Eventq.create ~pool ())
-        | `Calendar -> Cal (Calendar.create ~pool ()));
+      queue;
       pool;
       wheel = None;
       horizon = Time.zero;
-      enqueue = ignore;
+      enqueue = Eventq.insert queue;
       handlers = Array.make 8 unregistered;
-      nhandlers = 3;
+      nhandlers = first_user_fn;
       pending_span = Time.zero_span;
       on_delay = ignore;
       engine_rng = Rng.create ~seed;
@@ -212,13 +201,12 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
       engine_trace = Trace.create ();
     }
   in
-  t.enqueue <- (fun n -> q_insert t n);
   t.on_delay <-
     (fun k ->
       let n = alloc_keyed t (Time.add t.clock t.pending_span) in
       n.Evnode.fn <- fn_delay;
       n.Evnode.o0 <- Obj.repr k;
-      q_insert t n);
+      Eventq.insert t.queue n);
   t.handlers.(fn_fire) <- (fun _ _ o0 o1 -> (Obj.obj o0 : Obj.t -> unit) o1);
   t.handlers.(fn_delay) <-
     (fun _ _ o0 _ ->
@@ -302,28 +290,30 @@ let suspend_timeout t ~timeout register =
       n.Evnode.fn <- fn_timeout;
       n.Evnode.o0 <- Obj.repr w;
       w.cell.timer <- n;
-      if not (Wheel.arm (wheel_of t) n) then q_insert t n)
+      if not (Wheel.arm (wheel_of t) n) then Eventq.insert t.queue n)
 
 (* Make every timer due by the next queue event visible to the queue;
    with the queue drained, roll the wheel to its next timer.  After
    this, the queue minimum is the true next event.  The cached
    [t.horizon] makes the common case — next event well below the
-   wheel's current slot — a single comparison. *)
-let wheel_sync t wh =
-  if Wheel.size wh > 0 then
-    if q_is_empty t then begin
-      Wheel.flush_earliest wh ~insert:t.enqueue;
-      t.horizon <- Wheel.horizon wh
-    end
-    else begin
-      let m = q_min_time t in
-      if Time.compare m t.horizon >= 0 then begin
-        Wheel.advance wh ~upto:m ~insert:t.enqueue;
+   wheel's current slot — a single comparison, inlined into every run
+   loop. *)
+let[@inline] sync t =
+  match t.wheel with
+  | None -> ()
+  | Some wh ->
+    if Wheel.size wh > 0 then
+      if Eventq.is_empty t.queue then begin
+        Wheel.flush_earliest wh ~insert:t.enqueue;
         t.horizon <- Wheel.horizon wh
       end
-    end
-
-let sync t = match t.wheel with None -> () | Some wh -> wheel_sync t wh
+      else begin
+        let m = Eventq.min_time t.queue in
+        if Time.compare m t.horizon >= 0 then begin
+          Wheel.advance wh ~upto:m ~insert:t.enqueue;
+          t.horizon <- Wheel.horizon wh
+        end
+      end
 
 (* Copy out and recycle before dispatch: the handler may schedule,
    immediately reusing this node.  Branch on the payload style first so
@@ -346,71 +336,36 @@ let[@inline] dispatch t (n : Evnode.t) =
 
 let step t =
   sync t;
-  if q_is_empty t then false
+  if Eventq.is_empty t.queue then false
   else begin
-    dispatch t (q_pop t);
+    dispatch t (Eventq.pop t.queue);
     true
   end
 
 let guard_failed t =
   failwith (Printf.sprintf "Engine.run: exceeded %d events (runaway model?)" t.executed)
 
-(* The run loops are specialized per queue discipline so the hot loop
-   calls the queue directly instead of re-matching the variant on every
-   event; [max_events] is hoisted to one integer compare. *)
-let run_heap t q ~limit =
-  let continue_ = ref true in
-  while !continue_ do
-    if t.executed >= limit then guard_failed t;
-    (match t.wheel with
-    | None -> ()
-    | Some wh ->
-      if Wheel.size wh > 0 then
-        if Eventq.is_empty q then begin
-          Wheel.flush_earliest wh ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end
-        else if Time.compare (Eventq.min_time q) t.horizon >= 0 then begin
-          Wheel.advance wh ~upto:(Eventq.min_time q) ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end);
-    if Eventq.is_empty q then continue_ := false
-    else dispatch t (Eventq.pop q)
-  done
-
-let run_cal t c ~limit =
-  let continue_ = ref true in
-  while !continue_ do
-    if t.executed >= limit then guard_failed t;
-    (match t.wheel with
-    | None -> ()
-    | Some wh ->
-      if Wheel.size wh > 0 then
-        if Calendar.is_empty c then begin
-          Wheel.flush_earliest wh ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end
-        else if Time.compare (Calendar.min_time c) t.horizon >= 0 then begin
-          Wheel.advance wh ~upto:(Calendar.min_time c) ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end);
-    if Calendar.is_empty c then continue_ := false
-    else dispatch t (Calendar.pop c)
-  done
-
 let run ?max_events t =
   let limit = match max_events with None -> max_int | Some n -> n in
-  match t.queue with Heap q -> run_heap t q ~limit | Cal c -> run_cal t c ~limit
-
-let run_until ?max_events t stop =
-  let limit = match max_events with None -> max_int | Some n -> n in
+  let q = t.queue in
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
     sync t;
-    if q_is_empty t then continue_ := false
-    else if Time.compare (q_min_time t) stop > 0 then continue_ := false
-    else dispatch t (q_pop t)
+    if Eventq.is_empty q then continue_ := false
+    else dispatch t (Eventq.pop q)
+  done
+
+let run_until ?max_events t stop =
+  let limit = match max_events with None -> max_int | Some n -> n in
+  let q = t.queue in
+  let continue_ = ref true in
+  while !continue_ do
+    if t.executed >= limit then guard_failed t;
+    sync t;
+    if Eventq.is_empty q then continue_ := false
+    else if Time.compare (Eventq.min_time q) stop > 0 then continue_ := false
+    else dispatch t (Eventq.pop q)
   done;
   if Time.compare t.clock stop < 0 then t.clock <- stop
 

@@ -28,18 +28,12 @@ type 'a waker
 exception Not_in_process
 (** Raised when {!delay} or {!suspend} is performed outside a process. *)
 
-val create :
-  ?seed:int -> ?tie_break:[ `Fifo | `Random ] -> ?queue:[ `Heap | `Calendar ] -> unit -> t
+val create : ?seed:int -> ?tie_break:[ `Fifo | `Random ] -> unit -> t
 (** [create ()] is a fresh engine with its clock at {!Time.zero}.
     [seed] (default 42) seeds the engine's {!Rng.t}.  [tie_break]
     (default [`Fifo]) selects the ordering of events scheduled for the
     same instant: FIFO, or a random order drawn from a dedicated
-    generator (seeded from [seed], independent of {!rng}).  [queue]
-    (default [`Heap]) selects the event-queue discipline — the
-    {!Eventq} pairing heap or the {!Calendar} bucketed queue; both pop
-    in exactly the same [(time, tie, seq)] order, so the choice is a
-    pure performance knob and the simulation output is byte-identical
-    either way. *)
+    generator (seeded from [seed], independent of {!rng}). *)
 
 val now : t -> Time.t
 (** [now t] is the current virtual instant.  Callable from anywhere. *)
@@ -81,8 +75,9 @@ val schedule_fn : t -> after:Time.span -> fn:int -> a:int -> b:int -> unit
 (** [schedule_fn t ~after ~fn ~a ~b] runs handler [fn] with payload
     [(a, b)] at [now t + after].  Allocates nothing in steady state
     (the event node comes off the engine's freelist).
-    @raise Invalid_argument on a negative delay or an unregistered
-    [fn]. *)
+    @raise Invalid_argument on a negative delay or a [fn] that
+    {!register_handler} did not return (including the engine's own
+    built-in handler indices). *)
 
 val register : t -> ('a -> int -> unit) -> 'a -> int -> Time.span -> unit
 (** [register t f] is the flat API for handlers with a boxed payload:
@@ -148,6 +143,3 @@ val armed_timers : t -> int
 (** Number of timeout timers currently armed on the engine's wheel
     (pending {!suspend_timeout} deadlines not yet fired, cancelled or
     flushed to the main queue). *)
-
-val queue_kind : t -> [ `Heap | `Calendar ]
-(** Which event-queue discipline this engine was created with. *)

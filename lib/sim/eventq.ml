@@ -1,32 +1,23 @@
 (* An intrusive pairing heap over the shared flat event nodes
    ({!Evnode}): the heap node IS the event — one record carrying the
    ordering key (time, tie, seq), the closure-free payload, and the
-   mutable child/sibling links.  Popped nodes are recycled through the
-   pool's freelist, so a steady-state simulation schedules events with
-   no allocation at all.
+   mutable child/sibling links.  The engine recycles popped nodes
+   through its pool's freelist, so a steady-state simulation schedules
+   events with no allocation at all.
 
    [link0] = leftmost child, [link1] = next sibling; the shared
-   {!Evnode.null} sentinel stands for the absent link, avoiding an
-   [option] (and its allocation) per link. *)
+   {!Evnode.null} sentinel stands for the absent link (and the empty
+   heap), avoiding an [option] (and its allocation) per link. *)
 
 type node = Evnode.t
 
 let is_null = Evnode.is_null
 let null = Evnode.null
 
-type t = {
-  mutable root : node;
-  mutable size : int;
-  pool : Evnode.pool;
-}
+type t = { mutable root : node }
 
-let create ?pool () =
-  let pool = match pool with Some p -> p | None -> Evnode.create_pool () in
-  { root = null; size = 0; pool }
-
-let pool t = t.pool
-let size t = t.size
-let is_empty t = t.size = 0
+let create () = { root = null }
+let is_empty t = is_null t.root
 let leq = Evnode.leq
 
 (* Meld two roots (neither null, neither with a live sibling link): the
@@ -47,13 +38,7 @@ let insert t (n : node) =
   (* Callers hand over nodes with clean links (fresh from [Evnode.alloc],
      popped, or unlinked by the wheel), so no re-scrub here: redundant
      pointer stores cost a write-barrier call each on the hottest path. *)
-  t.root <- (if is_null t.root then n else meld t.root n);
-  t.size <- t.size + 1
-
-let add t ~time ~tie ~seq run =
-  let n = Evnode.alloc t.pool ~time ~tie ~seq in
-  n.Evnode.run <- run;
-  insert t n
+  t.root <- (if is_null t.root then n else meld t.root n)
 
 let min_time t = t.root.Evnode.time
 (* Undefined when empty (returns the sentinel's time); callers check
@@ -104,18 +89,9 @@ let combine_siblings (first : node) =
    events that reuse the node).
    @raise Invalid_argument when empty. *)
 let pop t =
-  if t.size = 0 then invalid_arg "Eventq.pop: empty";
   let n = t.root in
+  if is_null n then invalid_arg "Eventq.pop: empty";
   t.root <- combine_siblings n.Evnode.link0;
-  t.size <- t.size - 1;
   n.Evnode.link0 <- null;
   n.Evnode.link1 <- null;
   n
-
-(* Closure-mode convenience for tests and cold callers: pop the minimum,
-   recycle it, return its closure. *)
-let pop_run t =
-  let n = pop t in
-  let run = n.Evnode.run in
-  Evnode.recycle t.pool n;
-  run

@@ -1,46 +1,28 @@
-(** The engine's default event queue: an intrusive pairing heap whose
-    nodes are the shared flat events ({!Evnode}), ordered by
-    [(time, tie, seq)] — the key is a total order (the sequence number
-    is unique), so the pop sequence, and therefore every simulation
-    output, is independent of heap internals.
+(** The engine's event queue: an intrusive pairing heap whose nodes are
+    the shared flat events ({!Evnode}), ordered by [(time, tie, seq)] —
+    the key is a total order (the sequence number is unique), so the pop
+    sequence, and therefore every simulation output, is independent of
+    heap internals.
 
-    Scheduling in steady state allocates nothing: nodes recycle through
-    the pool's freelist and the payload is closure-free (a handler index
-    plus immediate slots) unless the caller opts into the closure API.
-
-    The {!Calendar} queue is the drop-in alternative for the
-    dense-timestamp regime; both pop in exactly the same order. *)
+    The heap never allocates: the caller takes nodes from an
+    {!Evnode.pool} and recycles them after dispatch, so steady-state
+    scheduling allocates nothing. *)
 
 type t
 
-val create : ?pool:Evnode.pool -> unit -> t
-(** [pool] (default: a fresh one) is the node freelist — the engine
-    shares one pool between its queue and its timer wheel so nodes flow
-    between them without allocation. *)
-
-val pool : t -> Evnode.pool
-val size : t -> int
+val create : unit -> t
 val is_empty : t -> bool
 
 val insert : t -> Evnode.t -> unit
-(** [insert t n] links an already-filled node into the heap.  [n.seq]
-    must be unique across live events for the order to be total. *)
-
-val add : t -> time:Time.t -> tie:int -> seq:int -> (unit -> unit) -> unit
-(** Closure-mode insert: allocates a node off the pool and stores [run]
-    in it. *)
+(** [insert t n] links an already-filled node with null links into the
+    heap.  [n.seq] must be unique across live events for the order to
+    be total. *)
 
 val min_time : t -> Time.t
 (** Time of the next event.  Meaningless when {!is_empty}; callers must
     check first. *)
 
 val pop : t -> Evnode.t
-(** Removes and returns the minimum node; the caller dispatches its
-    payload and recycles it through the pool.
-    @raise Invalid_argument when empty. *)
-
-val pop_run : t -> unit -> unit
-(** Closure-mode pop: removes the minimum event, recycles the node and
-    returns its closure (which the caller then runs).  Only meaningful
-    for events added with {!add}.
+(** Removes and returns the minimum node (links nulled); the caller
+    dispatches its payload and recycles it through the pool.
     @raise Invalid_argument when empty. *)

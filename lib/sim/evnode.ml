@@ -1,6 +1,6 @@
-(* The flat event node shared by every scheduling structure in the
-   simulator: the pairing-heap event queue, the calendar queue, and the
-   retransmit timer wheel.
+(* The flat event node shared by both scheduling structures in the
+   simulator: the pairing-heap event queue and the retransmit timer
+   wheel.
 
    Historically every scheduled event was a closure, so the busiest path
    in the simulator — schedule, pop, fire, reschedule — allocated a
@@ -15,7 +15,6 @@
    The two link fields are overloaded by the owning structure:
 
    - pairing heap: [link0] = leftmost child, [link1] = next sibling;
-   - calendar queue: [link1] = next in the bucket's sorted list;
    - timer wheel: [link0] = prev, [link1] = next in the slot's circular
      doubly-linked list (so cancellation is an O(1) unlink);
    - freelist: [link1] = next free node.
@@ -26,9 +25,9 @@
    link; nothing ever writes to the sentinel's fields. *)
 
 (* Field order is deliberate: the ordering key and the two links — all
-   a heap meld, a calendar bucket scan or a wheel unlink ever touch —
-   share the node's first cache line; the payload fields live in the
-   second and are read once per event at dispatch. *)
+   a heap meld or a wheel unlink ever touches — share the node's first
+   cache line; the payload fields live in the second and are read once
+   per event at dispatch. *)
 type t = {
   mutable time : Time.t;
   mutable tie : int;

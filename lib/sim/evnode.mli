@@ -1,6 +1,5 @@
 (** The flat event node shared by the pairing-heap event queue
-    ({!Eventq}), the calendar queue ({!Calendar}) and the retransmit
-    timer wheel ({!Wheel}).
+    ({!Eventq}) and the retransmit timer wheel ({!Wheel}).
 
     A node carries the engine's [(time, tie, seq)] ordering key, a
     closure-free payload (a handler-table index [fn] plus two immediate
@@ -15,7 +14,7 @@ type t = {
   mutable tie : int;
   mutable seq : int;
   mutable link0 : t;  (** heap child / wheel prev *)
-  mutable link1 : t;  (** heap sibling / calendar next / wheel next / freelist *)
+  mutable link1 : t;  (** heap sibling / wheel next / freelist *)
   mutable fn : int;  (** handler-table index, or {!closure_fn} *)
   mutable i0 : int;
   mutable i1 : int;
@@ -28,8 +27,8 @@ type t = {
           O(1) cancel unlink is legal *)
 }
 (** Field order is deliberate: the ordering key and the two links — all
-    a heap meld, a calendar scan or a wheel unlink ever touch — share
-    the node's first cache line; the payload is read once at dispatch. *)
+    a heap meld or a wheel unlink ever touches — share the node's first
+    cache line; the payload is read once at dispatch. *)
 
 val closure_fn : int
 (** The [fn] value meaning "dispatch the [run] closure". *)

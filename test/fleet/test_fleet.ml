@@ -45,16 +45,6 @@ let test_open_loop_deterministic () =
   Alcotest.(check string)
     "open loop is a pure function of the seed" (Scenario.render r1) (Scenario.render r2)
 
-let test_calendar_queue_identical () =
-  (* The engine's queue discipline is a pure performance knob: the same
-     seed through the calendar queue (and the retransmit timer wheel it
-     shares the run with) must render byte-identically to the pairing
-     heap. *)
-  let r1, _ = Scenario.run { small_spec with Scenario.s_queue = `Heap } in
-  let r2, _ = Scenario.run { small_spec with Scenario.s_queue = `Calendar } in
-  Alcotest.(check string)
-    "heap vs calendar, byte-identical report" (Scenario.render r1) (Scenario.render r2)
-
 (* {1 Conservation and quiescence invariants} *)
 
 let run_and_check spec =
@@ -297,8 +287,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical render" `Quick test_render_deterministic;
-          Alcotest.test_case "heap vs calendar identical" `Quick
-            test_calendar_queue_identical;
           Alcotest.test_case "seed changes the run" `Quick test_seed_changes_report;
           Alcotest.test_case "open loop deterministic" `Quick test_open_loop_deterministic;
         ] );

@@ -180,6 +180,27 @@ let test_spawn_nested () =
   Alcotest.(check (list string))
     "nested spawn interleaves" [ "parent"; "child"; "parent-end" ] (List.rev !order)
 
+(* The engine's own handlers (fire, delay, timeout) read a closure or
+   continuation out of a payload slot that [schedule_fn] leaves empty,
+   so their indices must be refused like any unregistered one — never
+   queued, where dispatch would crash the runtime. *)
+let test_schedule_fn_rejects_builtin () =
+  let eng = Engine.create () in
+  let hits = ref [] in
+  let fn = Engine.register_handler eng (fun a b -> hits := (a, b) :: !hits) in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "fn = %d rejected" bad)
+        (Invalid_argument "Engine.schedule_fn: unknown handler")
+        (fun () -> Engine.schedule_fn eng ~after:Time.zero_span ~fn:bad ~a:1 ~b:2))
+    [ 0; 1; 2; -1; fn + 1 ];
+  Engine.run eng;
+  Alcotest.(check int) "nothing was queued" 0 (Engine.events_executed eng);
+  Engine.schedule_fn eng ~after:(us 1) ~fn ~a:1 ~b:2;
+  Engine.run eng;
+  Alcotest.(check (list (pair int int))) "registered handler still runs" [ (1, 2) ] !hits
+
 let suite =
   [
     Alcotest.test_case "schedule ordering" `Quick test_schedule_order;
@@ -197,4 +218,6 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "process exception escapes" `Quick test_exception_escapes;
     Alcotest.test_case "nested spawn" `Quick test_spawn_nested;
+    Alcotest.test_case "schedule_fn rejects built-in handlers" `Quick
+      test_schedule_fn_rejects_builtin;
   ]
